@@ -214,531 +214,14 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
       }
 
       case OpKind::Rpc: {
-        const bool async =
-            service.spec().clientModel == ClientModel::Async;
-        const ResilienceSpec &res = service.spec().resilience;
-        const std::size_t n = op.rpcs.size();
-        if (n == 0) {
+        if (op.rpcs.empty()) {
             frame.pc++;
             return Status::Done;
         }
-
-        Worker::RpcState &rs = worker.rpcState();
-        const std::uint64_t traceId =
-            worker.currentRequest().msg.traceId;
-
-        auto send_call = [&](const RpcCallSpec &call, os::Socket *conn,
-                             sim::Time deadline) -> std::uint64_t {
-            os::Message req;
-            req.kind = os::MsgKind::Request;
-            req.bytes = call.requestBytes;
-            req.endpoint = call.endpoint;
-            req.tag = service.nextTag();
-            req.traceId = traceId;
-            req.parentSpan = worker.currentRequest().serverSpan;
-            req.sendTime = worker.now(ctx);
-            req.deadline = deadline;
-            // Priority rides downstream with every hop, like the
-            // deadline: a child call works at its root's priority.
-            req.priority = worker.currentRequest().msg.priority;
-            const std::uint64_t tag = req.tag;
-            worker.probeSyscall(SysKind::SocketWrite, req.bytes);
-            if (service.probe()) {
-                service.probe()->onRpcIssued(
-                    worker, call.target, call.endpoint,
-                    call.requestBytes, call.responseBytes);
-            }
-            if (service.tracer()) {
-                ServiceInstance *target =
-                    service.downstream(call.target);
-                service.tracer()->recordEdge(trace::RpcEdge{
-                    req.traceId, req.parentSpan, service.name(),
-                    target ? target->name() : "?", call.endpoint,
-                    call.requestBytes, call.responseBytes,
-                    deadline > req.sendTime
-                        ? static_cast<std::uint64_t>(deadline -
-                                                     req.sendTime)
-                        : 0});
-            }
-            service.stats().txBytes += call.requestBytes;
-            kernel.sysSocketWrite(ctx, worker, *conn, std::move(req));
-            return tag;
-        };
-
-        // End-to-end budget: the absolute deadline the inbound request
-        // carries, minus the hop margin reserved for the reply leg.
-        // 0 means "no budget" (propagation off or no deadline).
-        auto hop_budget = [&]() -> sim::Time {
-            if (!res.propagateDeadline)
-                return 0;
-            const sim::Time d = worker.currentRequest().msg.deadline;
-            if (d == 0)
-                return 0;
-            return d > res.hopMargin ? d - res.hopMargin : 1;
-        };
-
-        auto finish_response = [&](const os::Message &resp) {
-            service.stats().rxBytes += resp.bytes;
-            // A degraded downstream answer degrades our own response.
-            if (resp.status != os::MsgStatus::Ok)
-                worker.currentRequest().degraded = true;
-        };
-
-        if (!async) {
-            // Sync client: send call k, await its response, repeat.
-            // With resilience enabled each call runs an attempt loop:
-            // arm a deadline, and on expiry back off and resend (the
-            // response is matched by tag, so a late first reply is
-            // discarded rather than credited to the retry). Each
-            // attempt picks a replica through the edge balancer, so a
-            // retry can land on -- and route around a crash via -- a
-            // different replica than the attempt it replaces.
-            while (true) {
-                const std::size_t callIdx =
-                    static_cast<std::size_t>(frame.phase) / 2;
-                if (callIdx >= n) {
-                    frame.phase = 0;
-                    frame.pc++;
-                    return Status::Done;
-                }
-                const RpcCallSpec &call = op.rpcs[callIdx];
-                CircuitBreaker *cb = service.breaker(call.target);
-                if (frame.phase % 2 == 0) {
-                    if (rs.attempt == 0) {
-                        if (res.any())
-                            service.stats().rpcCallsStarted++;
-                        rs.callOpen = true;
-                        rs.callTarget = call.target;
-                        rs.callEndpoint = call.endpoint;
-                        service.retryBudget().onFresh();
-                        if (call.optional &&
-                            service.brownoutActive()) {
-                            // Brownout: the limiter is congested, so
-                            // shed this optional edge outright. The
-                            // response is NOT degraded -- optional
-                            // means the caller renders fine without
-                            // it.
-                            service.stats().rpcBrownoutSkipped++;
-                            service.noteOutcome(
-                                worker,
-                                trace::OutcomeKind::RpcCancelled,
-                                call.target, call.endpoint, 0,
-                                traceId, "brownout");
-                            rs.reset();
-                            frame.phase += 2;  // skip the call
-                            continue;
-                        }
-                    }
-                    const sim::Time budget = hop_budget();
-                    if (budget != 0 && budget <= worker.now(ctx)) {
-                        // Budget already exhausted: fail fast without
-                        // putting anything on the wire. A first
-                        // attempt settles as cancelled; a retry whose
-                        // budget ran out settles as the timeout it is.
-                        service.noteOutcome(
-                            worker,
-                            rs.attempt == 0
-                                ? trace::OutcomeKind::RpcCancelled
-                                : trace::OutcomeKind::RpcTimeout,
-                            call.target, call.endpoint, rs.attempt,
-                            traceId, "budget_exhausted");
-                        worker.currentRequest().degraded = true;
-                        worker.cancelRpcTimer();
-                        worker.cancelHedgeTimer();
-                        rs.reset();
-                        frame.phase += 2;  // skip the call
-                        continue;
-                    }
-                    if (cb && !cb->allowRequest(worker.now(ctx))) {
-                        service.noteOutcome(
-                            worker, trace::OutcomeKind::RpcBreakerOpen,
-                            call.target, call.endpoint, rs.attempt,
-                            traceId);
-                        worker.currentRequest().degraded = true;
-                        rs.reset();
-                        frame.phase += 2;  // fail fast: skip the call
-                        continue;
-                    }
-                    rs.attempt++;
-                    rs.replica =
-                        service.pickReplica(call.target, traceId);
-                    rs.conn =
-                        worker.downConn(call.target, rs.replica);
-                    service.balancer(call.target).onSend(rs.replica);
-                    rs.attemptOpen = true;
-                    rs.sendDeadline = 0;
-                    if (res.propagateDeadline) {
-                        if (res.rpcDeadline > 0) {
-                            rs.sendDeadline =
-                                worker.now(ctx) + res.rpcDeadline;
-                        }
-                        if (budget != 0 &&
-                            (rs.sendDeadline == 0 ||
-                             budget < rs.sendDeadline)) {
-                            rs.sendDeadline = budget;
-                        }
-                    }
-                    rs.waitTag =
-                        send_call(call, rs.conn, rs.sendDeadline);
-                    sim::Time delay = res.rpcDeadline;
-                    if (budget != 0) {
-                        const sim::Time at = worker.now(ctx);
-                        const sim::Time rem =
-                            budget > at ? budget - at : 1;
-                        if (delay == 0 || rem < delay)
-                            delay = rem;
-                    }
-                    if (delay > 0)
-                        worker.armRpcTimer(ctx, delay);
-                    if (res.hedge.enabled && rs.attempt == 1 &&
-                        service.downstreamGroup(call.target).size() >
-                            1) {
-                        worker.armHedgeTimer(ctx, res.hedge.delay);
-                    }
-                    frame.phase++;
-                } else if (rs.inBackoff) {
-                    if (!rs.timerFired)
-                        return Status::Blocked;  // spurious wake
-                    rs.inBackoff = false;
-                    rs.timerFired = false;
-                    frame.phase--;  // backoff over: resend
-                } else {
-                    os::Socket *conn = rs.conn;
-                    os::Message resp;
-                    os::Socket *from = nullptr;
-                    if (kernel.sysSocketTryRead(ctx, worker, *conn,
-                                                resp) ==
-                        os::SysResult::Ok) {
-                        from = conn;
-                    } else if (rs.hedgeConn &&
-                               kernel.sysSocketTryRead(
-                                   ctx, worker, *rs.hedgeConn,
-                                   resp) == os::SysResult::Ok) {
-                        from = rs.hedgeConn;
-                    }
-                    if (from) {
-                        const bool hedgeHit = rs.hedgeTag != 0 &&
-                            resp.tag == rs.hedgeTag;
-                        if (rs.waitTag != 0 &&
-                            resp.tag != rs.waitTag && !hedgeHit) {
-                            // Late reply to an abandoned attempt. The
-                            // bytes were still delivered and read off
-                            // the socket, so they count toward rx
-                            // traffic and the syscall profile.
-                            service.stats().rpcStaleResponses++;
-                            service.stats().rxBytes += resp.bytes;
-                            worker.probeSyscall(SysKind::SocketRead,
-                                                resp.bytes);
-                            continue;
-                        }
-                        worker.probeSyscall(SysKind::SocketRead,
-                                            resp.bytes);
-                        worker.cancelRpcTimer();
-                        worker.cancelHedgeTimer();
-                        service.balancer(call.target)
-                            .onDone(rs.replica);
-                        if (rs.hedgeConn) {
-                            // First response wins; the loser attempt
-                            // is released and (optionally) chased
-                            // with a cancel. Its late reply, if any,
-                            // dies in the stale path above.
-                            service.balancer(call.target)
-                                .onDone(rs.hedgeReplica);
-                            os::Socket *loser =
-                                hedgeHit ? rs.conn : rs.hedgeConn;
-                            const std::uint64_t loserTag =
-                                hedgeHit ? rs.waitTag : rs.hedgeTag;
-                            loser->removeWaiter(&worker);
-                            from->removeWaiter(&worker);
-                            if (res.cancellation) {
-                                worker.sendCancelMsg(ctx, loser,
-                                                     loserTag,
-                                                     traceId);
-                            }
-                        }
-                        if (cb)
-                            cb->onSuccess();
-                        if (res.any()) {
-                            service.noteOutcome(
-                                worker,
-                                hedgeHit
-                                    ? trace::OutcomeKind::RpcHedgeWon
-                                    : rs.attempt > 1
-                                    ? trace::OutcomeKind::RpcRetriedOk
-                                    : trace::OutcomeKind::RpcOk,
-                                call.target, call.endpoint,
-                                rs.attempt, traceId);
-                        }
-                        finish_response(resp);
-                        rs.reset();
-                        frame.phase++;
-                    } else if (rs.timerFired) {
-                        // Attempt deadline expired with no response.
-                        rs.timerFired = false;
-                        worker.cancelHedgeTimer();
-                        conn->removeWaiter(&worker);
-                        service.balancer(call.target)
-                            .onDone(rs.replica);
-                        if (res.cancellation && rs.waitTag != 0) {
-                            worker.sendCancelMsg(ctx, conn, rs.waitTag,
-                                                 traceId);
-                        }
-                        if (rs.hedgeConn) {
-                            rs.hedgeConn->removeWaiter(&worker);
-                            service.balancer(call.target)
-                                .onDone(rs.hedgeReplica);
-                            if (res.cancellation && rs.hedgeTag != 0) {
-                                worker.sendCancelMsg(ctx, rs.hedgeConn,
-                                                     rs.hedgeTag,
-                                                     traceId);
-                            }
-                        }
-                        // One failure per call, hedged or not: hedges
-                        // must never double-count against the breaker.
-                        if (cb)
-                            cb->onFailure(worker.now(ctx));
-                        rs.attemptOpen = false;
-                        rs.hedgeConn = nullptr;
-                        rs.hedgeTag = 0;
-                        bool retryAllowed =
-                            rs.attempt < res.retry.maxAttempts;
-                        const char *giveUpCause = "";
-                        if (retryAllowed &&
-                            !service.retryBudget().allowWithdraw()) {
-                            // Retry budget exhausted: the attempt
-                            // settles as the timeout it is instead of
-                            // feeding a retry storm.
-                            retryAllowed = false;
-                            giveUpCause = "retry_budget";
-                            service.stats().rpcRetriesSuppressed++;
-                        }
-                        if (retryAllowed) {
-                            service.stats().rpcRetries++;
-                            rs.inBackoff = true;
-                            worker.armRpcTimer(
-                                ctx, computeBackoff(res.retry,
-                                                    rs.attempt,
-                                                    service.rng()));
-                            return Status::Blocked;
-                        }
-                        service.noteOutcome(
-                            worker, trace::OutcomeKind::RpcTimeout,
-                            call.target, call.endpoint, rs.attempt,
-                            traceId, giveUpCause);
-                        worker.currentRequest().degraded = true;
-                        rs.reset();
-                        frame.phase++;  // give up on this call
-                    } else if (rs.hedgeFired && !rs.hedgeLaunched) {
-                        // Hedge threshold passed: launch the second
-                        // attempt on a different replica. When no
-                        // other replica is usable, skip the hedge
-                        // (hedgeLaunched stays set so it won't refire
-                        // for this call).
-                        rs.hedgeFired = false;
-                        rs.hedgeLaunched = true;
-                        const std::size_t other =
-                            service.pickReplicaExcluding(
-                                call.target, traceId, rs.replica);
-                        if (other != rs.replica) {
-                            rs.hedgeReplica = other;
-                            rs.hedgeConn =
-                                worker.downConn(call.target, other);
-                            service.balancer(call.target)
-                                .onSend(other);
-                            rs.hedgeTag = send_call(
-                                call, rs.hedgeConn, rs.sendDeadline);
-                            service.stats().rpcHedges++;
-                        }
-                    } else {
-                        conn->addWaiter(&worker);
-                        if (rs.hedgeConn)
-                            rs.hedgeConn->addWaiter(&worker);
-                        return Status::Blocked;
-                    }
-                }
-                if (ctx.overBudget() &&
-                    static_cast<std::size_t>(frame.phase) / 2 < n) {
-                    return Status::Budget;
-                }
-            }
-        }
-
-        // Async client: fire the whole fanout, then collect. Each
-        // call picks its replica independently, so one fanout can
-        // spread across the replicas of a single downstream group.
-        if (frame.phase == 0) {
-            rs.reset();
-            rs.fanoutTags.assign(n, 0);
-            rs.fanoutConns.assign(n, nullptr);
-            rs.fanoutReplicas.assign(n, 0);
-            rs.fanoutTargets.assign(n, 0);
-            rs.fanoutEndpoints.assign(n, 0);
-            const sim::Time budget = hop_budget();
-            const bool budgetDead =
-                budget != 0 && budget <= worker.now(ctx);
-            std::uint64_t pending = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const RpcCallSpec &call = op.rpcs[i];
-                rs.fanoutTargets[i] = call.target;
-                rs.fanoutEndpoints[i] = call.endpoint;
-                if (res.any())
-                    service.stats().rpcCallsStarted++;
-                service.retryBudget().onFresh();
-                if (call.optional && service.brownoutActive()) {
-                    // Brownout: drop the optional leg of the fanout
-                    // without degrading the response (see sync path).
-                    service.stats().rpcBrownoutSkipped++;
-                    service.noteOutcome(
-                        worker, trace::OutcomeKind::RpcCancelled,
-                        call.target, call.endpoint, 0, traceId,
-                        "brownout");
-                    continue;
-                }
-                if (budgetDead) {
-                    // Budget exhausted before the fanout: fail every
-                    // call fast, nothing on the wire.
-                    service.noteOutcome(
-                        worker, trace::OutcomeKind::RpcCancelled,
-                        call.target, call.endpoint, 0, traceId,
-                        "budget_exhausted");
-                    worker.currentRequest().degraded = true;
-                    continue;
-                }
-                CircuitBreaker *cb = service.breaker(call.target);
-                if (cb && !cb->allowRequest(worker.now(ctx))) {
-                    service.noteOutcome(
-                        worker, trace::OutcomeKind::RpcBreakerOpen,
-                        call.target, call.endpoint, 1, traceId);
-                    worker.currentRequest().degraded = true;
-                    continue;
-                }
-                const std::size_t replica =
-                    service.pickReplica(call.target, traceId);
-                rs.fanoutReplicas[i] = replica;
-                rs.fanoutConns[i] =
-                    worker.downConn(call.target, replica);
-                service.balancer(call.target).onSend(replica);
-                sim::Time sendDeadline = 0;
-                if (res.propagateDeadline) {
-                    if (res.rpcDeadline > 0) {
-                        sendDeadline =
-                            worker.now(ctx) + res.rpcDeadline;
-                    }
-                    if (budget != 0 &&
-                        (sendDeadline == 0 || budget < sendDeadline))
-                        sendDeadline = budget;
-                }
-                rs.fanoutTags[i] =
-                    send_call(call, rs.fanoutConns[i], sendDeadline);
-                pending |= std::uint64_t{1} << std::min<std::size_t>(
-                    i, 63);
-            }
-            frame.aux = pending;
-            rs.fanoutPending = pending;
-            frame.phase = 1;
-            sim::Time delay = res.rpcDeadline;
-            if (budget != 0 && !budgetDead) {
-                const sim::Time at = worker.now(ctx);
-                const sim::Time rem = budget > at ? budget - at : 1;
-                if (delay == 0 || rem < delay)
-                    delay = rem;
-            }
-            if (delay > 0 && frame.aux != 0)
-                worker.armRpcTimer(ctx, delay);
-        }
-        // Collect phase: drain whatever is ready. Calls to the same
-        // target share one connection, so match each reply against
-        // every pending tag; unmatched replies are stale leftovers of
-        // an earlier timed-out fanout.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!(frame.aux & (std::uint64_t{1} << i)))
-                continue;
-            os::Socket *conn = rs.fanoutConns[i];
-            conn->removeWaiter(&worker);
-            os::Message resp;
-            while ((frame.aux & (std::uint64_t{1} << i)) &&
-                   kernel.sysSocketTryRead(ctx, worker, *conn, resp) ==
-                       os::SysResult::Ok) {
-                std::size_t match = i;
-                if (rs.fanoutTags.size() == n &&
-                    rs.fanoutTags[i] != 0) {
-                    match = n;
-                    for (std::size_t j = 0; j < n; ++j) {
-                        if ((frame.aux & (std::uint64_t{1} << j)) &&
-                            rs.fanoutTags[j] == resp.tag) {
-                            match = j;
-                            break;
-                        }
-                    }
-                    if (match == n) {
-                        // Stale fanout reply: account the read (see
-                        // the sync-path comment above).
-                        service.stats().rpcStaleResponses++;
-                        service.stats().rxBytes += resp.bytes;
-                        worker.probeSyscall(SysKind::SocketRead,
-                                            resp.bytes);
-                        continue;
-                    }
-                }
-                worker.probeSyscall(SysKind::SocketRead, resp.bytes);
-                service.balancer(op.rpcs[match].target)
-                    .onDone(rs.fanoutReplicas[match]);
-                CircuitBreaker *cb =
-                    service.breaker(op.rpcs[match].target);
-                if (cb)
-                    cb->onSuccess();
-                if (res.any()) {
-                    service.noteOutcome(
-                        worker, trace::OutcomeKind::RpcOk,
-                        op.rpcs[match].target, op.rpcs[match].endpoint,
-                        1, traceId);
-                }
-                finish_response(resp);
-                frame.aux &= ~(std::uint64_t{1} << match);
-                rs.fanoutPending = frame.aux;
-            }
-        }
-        if (frame.aux == 0) {
-            worker.cancelRpcTimer();
-            rs.reset();
-            frame.phase = 0;
+        const Status st = worker.runRpc(ctx, op);
+        if (st == Status::Done)
             frame.pc++;
-            return Status::Done;
-        }
-        if (rs.timerFired) {
-            // Fanout deadline: abandon every still-pending call.
-            rs.timerFired = false;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!(frame.aux & (std::uint64_t{1} << i)))
-                    continue;
-                const RpcCallSpec &call = op.rpcs[i];
-                rs.fanoutConns[i]->removeWaiter(&worker);
-                service.balancer(call.target)
-                    .onDone(rs.fanoutReplicas[i]);
-                if (res.cancellation && rs.fanoutTags[i] != 0) {
-                    worker.sendCancelMsg(ctx, rs.fanoutConns[i],
-                                         rs.fanoutTags[i], traceId);
-                }
-                CircuitBreaker *cb = service.breaker(call.target);
-                if (cb)
-                    cb->onFailure(worker.now(ctx));
-                service.noteOutcome(
-                    worker, trace::OutcomeKind::RpcTimeout,
-                    call.target, call.endpoint, 1, traceId);
-                worker.currentRequest().degraded = true;
-            }
-            rs.reset();
-            frame.aux = 0;
-            frame.phase = 0;
-            frame.pc++;
-            return Status::Done;
-        }
-        // Park on every still-pending connection.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (frame.aux & (std::uint64_t{1} << i))
-                rs.fanoutConns[i]->addWaiter(&worker);
-        }
-        return Status::Blocked;
+        return st;
       }
 
       case OpKind::Lock: {
@@ -1262,67 +745,6 @@ Worker::accountDiskWrite(std::uint64_t bytes)
 }
 
 void
-Worker::armRpcTimer(const os::StepCtx &ctx, sim::Time delay)
-{
-    cancelRpcTimer();
-    // The slice runs ahead of simulated time: anchor the deadline at
-    // the syscall's logical position inside the slice, like Unlock.
-    rpcState_.timer = service_.machine().events().scheduleAfter(
-        ctx.kernel.sliceOffset(ctx) + delay, [this] {
-            rpcState_.timer = 0;
-            rpcState_.timerFired = true;
-            service_.machine().scheduler().wake(this);
-        });
-}
-
-void
-Worker::cancelRpcTimer()
-{
-    if (rpcState_.timer != 0) {
-        service_.machine().events().cancel(rpcState_.timer);
-        rpcState_.timer = 0;
-    }
-    rpcState_.timerFired = false;
-}
-
-void
-Worker::armHedgeTimer(const os::StepCtx &ctx, sim::Time delay)
-{
-    cancelHedgeTimer();
-    rpcState_.hedgeTimer = service_.machine().events().scheduleAfter(
-        ctx.kernel.sliceOffset(ctx) + delay, [this] {
-            rpcState_.hedgeTimer = 0;
-            rpcState_.hedgeFired = true;
-            service_.machine().scheduler().wake(this);
-        });
-}
-
-void
-Worker::cancelHedgeTimer()
-{
-    if (rpcState_.hedgeTimer != 0) {
-        service_.machine().events().cancel(rpcState_.hedgeTimer);
-        rpcState_.hedgeTimer = 0;
-    }
-    rpcState_.hedgeFired = false;
-}
-
-void
-Worker::sendCancelMsg(os::StepCtx &ctx, os::Socket *conn,
-                      std::uint64_t tag, std::uint64_t traceId)
-{
-    os::Message cancel;
-    cancel.kind = os::MsgKind::Cancel;
-    cancel.bytes = os::kCancelMsgBytes;
-    cancel.tag = tag;
-    cancel.traceId = traceId;
-    cancel.sendTime = now(ctx);
-    probeSyscall(SysKind::SocketWrite, cancel.bytes);
-    service_.stats().txBytes += cancel.bytes;
-    ctx.kernel.sysSocketWrite(ctx, *this, *conn, std::move(cancel));
-}
-
-void
 Worker::noteLockReleased(std::uint32_t ref)
 {
     for (auto it = heldLocks_.rbegin(); it != heldLocks_.rend();
@@ -1346,16 +768,471 @@ Worker::releaseHeldLocks()
     heldLocks_.clear();
 }
 
+// ---------------------------------------------------------------------------
+// Worker: the Rpc op's call lifecycle
+// ---------------------------------------------------------------------------
+
+bool
+Worker::asyncClient() const
+{
+    return service_.spec().clientModel == ClientModel::Async;
+}
+
+ProgramRunner::Status
+Worker::runRpc(os::StepCtx &ctx, const Op &op)
+{
+    using Status = ProgramRunner::Status;
+    using State = CallSlot::State;
+    const ResilienceSpec &res = service_.spec().resilience;
+    RpcState &rs = rpc_;
+    if (rs.slots.empty()) {
+        rs.slots.resize(op.rpcs.size());
+        for (std::size_t i = 0; i < op.rpcs.size(); ++i)
+            rs.slots[i].call = &op.rpcs[i];
+    }
+    const std::size_t n = rs.slots.size();
+    // Sync client: send call k, await its reply, repeat. Async client:
+    // fire the whole fan-out, then collect. Each attempt picks its
+    // replica through the edge balancer, so a fan-out can spread over
+    // a replica group and a retry can route around a crashed replica.
+    const bool async = asyncClient();
+    const std::size_t window = async ? n : 1;
+    auto finished = [&] { return rs.next == n && rs.open == 0; };
+    // A sync caller hands the core back between steps once its slice
+    // is spent; a fan-out sends and collects in one go.
+    auto yield = [&] {
+        return !async && ctx.overBudget() && !finished();
+    };
+    auto inState = [&](State st) -> CallSlot * {
+        for (CallSlot &s : rs.slots) {
+            if (s.state == st)
+                return &s;
+        }
+        return nullptr;
+    };
+    // The window timers already stopped with the last settle.
+    auto done = [&] {
+        rs.reset();
+        return Status::Done;
+    };
+
+    for (;;) {
+        // A retry waits out its backoff on the window timer.
+        if (CallSlot *s = inState(State::Backoff)) {
+            if (!rs.timerFired)
+                return Status::Blocked;  // spurious wake
+            rs.timerFired = false;
+            s->state = State::Retry;
+            if (yield())
+                return Status::Budget;
+        }
+
+        // Send: the retry that is due, then fresh calls while the
+        // window has room.
+        const sim::Time budget = hopBudget();
+        const bool budgetDead = budget != 0 && budget <= now(ctx);
+        CallSlot *sent = nullptr;
+        if (CallSlot *s = inState(State::Retry)) {
+            if (startAttempt(ctx, *s, budgetDead))
+                sent = s;
+        }
+        while (rs.next < n && rs.open < window) {
+            CallSlot &s = rs.slots[rs.next++];
+            if (res.any())
+                service_.stats().rpcCallsStarted++;
+            service_.retryBudget().onFresh();
+            if (s.call->optional && service_.brownoutActive()) {
+                // Brownout: the limiter is congested, so shed this
+                // optional edge outright. The response is NOT degraded
+                // -- optional means the caller renders fine without it.
+                service_.stats().rpcBrownoutSkipped++;
+                service_.noteOutcome(*this,
+                                     trace::OutcomeKind::RpcCancelled,
+                                     s.call->target, s.call->endpoint, 0,
+                                     req_.msg.traceId, "brownout");
+                continue;
+            }
+            ++rs.open;
+            if (startAttempt(ctx, s, budgetDead))
+                sent = &s;
+        }
+        if (sent) {
+            // One deadline for the window: the per-call deadline,
+            // capped by what is left of the end-to-end budget.
+            sim::Time delay = res.rpcDeadline;
+            if (budget != 0) {
+                const sim::Time at = now(ctx);
+                const sim::Time rem = budget > at ? budget - at : 1;
+                if (delay == 0 || rem < delay)
+                    delay = rem;
+            }
+            if (delay > 0)
+                armRpcTimer(ctx, delay);
+            if (!async && res.hedge.enabled && sent->attempt == 1 &&
+                service_.downstreamGroup(sent->call->target).size() > 1)
+                armHedgeTimer(ctx, res.hedge.delay);
+            if (yield())
+                return Status::Budget;
+        }
+        if (finished())
+            return done();
+
+        // Collect whatever replies are ready. Calls to one replica
+        // share a connection, so a reply is matched by tag against
+        // every open attempt; an unmatched one is the late reply of an
+        // attempt already given up on.
+        bool settled = false;
+        for (CallSlot &s : rs.slots) {
+            os::Message resp;
+            while (s.state == State::InFlight &&
+                   (ctx.kernel.sysSocketTryRead(ctx, *this, *s.conn,
+                                                resp) ==
+                        os::SysResult::Ok ||
+                    (s.hedgeConn &&
+                     ctx.kernel.sysSocketTryRead(ctx, *this,
+                                                 *s.hedgeConn, resp) ==
+                         os::SysResult::Ok))) {
+                probeSyscall(SysKind::SocketRead, resp.bytes);
+                CallSlot *owner = nullptr;
+                for (CallSlot &m : rs.slots) {
+                    if (m.state == State::InFlight &&
+                        (m.tag == resp.tag || m.hedgeTag == resp.tag)) {
+                        owner = &m;
+                        break;
+                    }
+                }
+                if (!owner) {
+                    // The stale reply was still delivered and read off
+                    // the socket, so it counts toward rx traffic.
+                    service_.stats().rpcStaleResponses++;
+                    service_.stats().rxBytes += resp.bytes;
+                    continue;
+                }
+                settleReply(ctx, *owner, resp);
+                settled = true;
+            }
+        }
+        if (settled) {
+            if (finished())
+                return done();
+            if (rs.next < n) {  // the window has room again
+                if (yield())
+                    return Status::Budget;
+                continue;
+            }
+        }
+
+        if (rs.timerFired) {
+            // Window deadline: every call in flight failed its attempt.
+            rs.timerFired = false;
+            cancelHedgeTimer();
+            for (CallSlot &s : rs.slots) {
+                if (s.state == State::InFlight)
+                    expire(ctx, s);
+            }
+            if (inState(State::Backoff))
+                return Status::Blocked;
+            if (finished())
+                return done();
+            if (yield())
+                return Status::Budget;
+            continue;
+        }
+        if (rs.hedgeFired) {
+            rs.hedgeFired = false;
+            for (CallSlot &s : rs.slots) {
+                if (s.state == State::InFlight)
+                    launchHedge(ctx, s);
+            }
+            if (yield())
+                return Status::Budget;
+            continue;
+        }
+        // Park on every connection an open attempt waits on.
+        for (CallSlot &s : rs.slots) {
+            if (s.state != State::InFlight)
+                continue;
+            s.conn->addWaiter(this);
+            if (s.hedgeConn)
+                s.hedgeConn->addWaiter(this);
+        }
+        return Status::Blocked;
+    }
+}
+
+sim::Time
+Worker::hopBudget() const
+{
+    // The absolute deadline the inbound request carries, minus the
+    // hop margin reserved for the reply leg.
+    const ResilienceSpec &res = service_.spec().resilience;
+    const sim::Time d = req_.msg.deadline;
+    if (!res.propagateDeadline || d == 0)
+        return 0;
+    return d > res.hopMargin ? d - res.hopMargin : 1;
+}
+
+std::uint64_t
+Worker::sendRequest(os::StepCtx &ctx, const RpcCallSpec &call,
+                    os::Socket *conn, sim::Time deadline)
+{
+    os::Message req;
+    req.kind = os::MsgKind::Request;
+    req.bytes = call.requestBytes;
+    req.endpoint = call.endpoint;
+    req.tag = service_.nextTag();
+    req.traceId = req_.msg.traceId;
+    req.parentSpan = req_.serverSpan;
+    req.sendTime = now(ctx);
+    req.deadline = deadline;
+    // Priority rides downstream with every hop, like the deadline: a
+    // child call works at its root's priority.
+    req.priority = req_.msg.priority;
+    const std::uint64_t tag = req.tag;
+    probeSyscall(SysKind::SocketWrite, req.bytes);
+    if (service_.probe()) {
+        service_.probe()->onRpcIssued(*this, call.target, call.endpoint,
+                                      call.requestBytes,
+                                      call.responseBytes);
+    }
+    if (service_.tracer()) {
+        ServiceInstance *target = service_.downstream(call.target);
+        service_.tracer()->recordEdge(trace::RpcEdge{
+            req.traceId, req.parentSpan, service_.name(),
+            target ? target->name() : "?", call.endpoint,
+            call.requestBytes, call.responseBytes,
+            deadline > req.sendTime
+                ? static_cast<std::uint64_t>(deadline - req.sendTime)
+                : 0});
+    }
+    service_.stats().txBytes += call.requestBytes;
+    ctx.kernel.sysSocketWrite(ctx, *this, *conn, std::move(req));
+    return tag;
+}
+
+bool
+Worker::startAttempt(os::StepCtx &ctx, CallSlot &s, bool budgetDead)
+{
+    const ResilienceSpec &res = service_.spec().resilience;
+    const RpcCallSpec &call = *s.call;
+    if (budgetDead) {
+        // Budget already exhausted: fail fast without putting anything
+        // on the wire. A first attempt settles as cancelled; a retry
+        // whose budget ran out settles as the timeout it is.
+        settle(s,
+               s.attempt == 0 ? trace::OutcomeKind::RpcCancelled
+                              : trace::OutcomeKind::RpcTimeout,
+               "budget_exhausted");
+        return false;
+    }
+    CircuitBreaker *cb = service_.breaker(call.target);
+    if (cb && !cb->allowRequest(now(ctx))) {
+        if (asyncClient())
+            s.attempt = 1;  // a fan-out leg reports the refused attempt
+        settle(s, trace::OutcomeKind::RpcBreakerOpen);
+        return false;
+    }
+    ++s.attempt;
+    s.replica = service_.pickReplica(call.target, req_.msg.traceId);
+    s.conn = downConn(call.target, s.replica);
+    service_.balancer(call.target).onSend(s.replica);
+    s.sendDeadline = 0;
+    if (res.propagateDeadline) {
+        if (res.rpcDeadline > 0)
+            s.sendDeadline = now(ctx) + res.rpcDeadline;
+        const sim::Time budget = hopBudget();
+        if (budget != 0 &&
+            (s.sendDeadline == 0 || budget < s.sendDeadline))
+            s.sendDeadline = budget;
+    }
+    s.tag = sendRequest(ctx, call, s.conn, s.sendDeadline);
+    s.state = CallSlot::State::InFlight;
+    return true;
+}
+
+void
+Worker::launchHedge(os::StepCtx &ctx, CallSlot &s)
+{
+    const RpcCallSpec &call = *s.call;
+    const std::size_t other = service_.pickReplicaExcluding(
+        call.target, req_.msg.traceId, s.replica);
+    if (other == s.replica)
+        return;  // no other usable replica: skip the hedge
+    s.hedgeReplica = other;
+    s.hedgeConn = downConn(call.target, other);
+    service_.balancer(call.target).onSend(other);
+    s.hedgeTag = sendRequest(ctx, call, s.hedgeConn, s.sendDeadline);
+    service_.stats().rpcHedges++;
+}
+
+void
+Worker::abandon(os::StepCtx *ctx, CallSlot &s, std::uint64_t keepTag)
+{
+    const bool chase =
+        ctx != nullptr && service_.spec().resilience.cancellation;
+    cluster::EdgeBalancer &bal = service_.balancer(s.call->target);
+    s.conn->removeWaiter(this);
+    bal.onDone(s.replica);
+    if (chase && s.tag != keepTag)
+        sendCancelMsg(*ctx, s.conn, s.tag);
+    if (s.hedgeConn) {
+        s.hedgeConn->removeWaiter(this);
+        bal.onDone(s.hedgeReplica);
+        if (chase && s.hedgeTag != keepTag)
+            sendCancelMsg(*ctx, s.hedgeConn, s.hedgeTag);
+        s.hedgeConn = nullptr;
+        s.hedgeTag = 0;
+    }
+}
+
+void
+Worker::settle(CallSlot &s, trace::OutcomeKind kind, const char *cause)
+{
+    if (service_.spec().resilience.any()) {
+        service_.noteOutcome(*this, kind, s.call->target,
+                             s.call->endpoint, s.attempt,
+                             req_.msg.traceId, cause);
+    }
+    if (kind != trace::OutcomeKind::RpcOk &&
+        kind != trace::OutcomeKind::RpcRetriedOk &&
+        kind != trace::OutcomeKind::RpcHedgeWon)
+        req_.degraded = true;
+    s.state = CallSlot::State::Idle;
+    if (--rpc_.open == 0) {
+        cancelRpcTimer();
+        cancelHedgeTimer();
+    }
+}
+
+void
+Worker::settleReply(os::StepCtx &ctx, CallSlot &s,
+                    const os::Message &resp)
+{
+    // First reply wins. A hedged call's other attempt is released and
+    // (optionally) chased with a cancel; its late reply, if any, is
+    // discarded as stale.
+    const bool hedgeHit = s.hedgeTag != 0 && resp.tag == s.hedgeTag;
+    abandon(&ctx, s, resp.tag);
+    if (CircuitBreaker *cb = service_.breaker(s.call->target))
+        cb->onSuccess();
+    settle(s, hedgeHit          ? trace::OutcomeKind::RpcHedgeWon
+              : s.attempt > 1 ? trace::OutcomeKind::RpcRetriedOk
+                              : trace::OutcomeKind::RpcOk);
+    service_.stats().rxBytes += resp.bytes;
+    // A degraded downstream answer degrades our own response.
+    if (resp.status != os::MsgStatus::Ok)
+        req_.degraded = true;
+}
+
+void
+Worker::expire(os::StepCtx &ctx, CallSlot &s)
+{
+    const ResilienceSpec &res = service_.spec().resilience;
+    abandon(&ctx, s);
+    // One failure per attempt, hedged or not: a hedge must never
+    // double-count against the breaker.
+    if (CircuitBreaker *cb = service_.breaker(s.call->target))
+        cb->onFailure(now(ctx));
+    const unsigned maxAttempts =
+        asyncClient() ? 1 : res.retry.maxAttempts;
+    bool retry = s.attempt < maxAttempts;
+    const char *giveUpCause = "";
+    if (retry && !service_.retryBudget().allowWithdraw()) {
+        // Retry budget exhausted: the attempt settles as the timeout it
+        // is instead of feeding a retry storm.
+        retry = false;
+        giveUpCause = "retry_budget";
+        service_.stats().rpcRetriesSuppressed++;
+    }
+    if (!retry) {
+        settle(s, trace::OutcomeKind::RpcTimeout, giveUpCause);
+        return;
+    }
+    service_.stats().rpcRetries++;
+    s.state = CallSlot::State::Backoff;
+    armRpcTimer(ctx, computeBackoff(res.retry, s.attempt, service_.rng()));
+}
+
+void
+Worker::armRpcTimer(const os::StepCtx &ctx, sim::Time delay)
+{
+    cancelRpcTimer();
+    // The slice runs ahead of simulated time: anchor the deadline at
+    // the syscall's logical position inside the slice, like Unlock.
+    rpc_.timer = service_.machine().events().scheduleAfter(
+        ctx.kernel.sliceOffset(ctx) + delay, [this] {
+            rpc_.timer = 0;
+            rpc_.timerFired = true;
+            service_.machine().scheduler().wake(this);
+        });
+}
+
+void
+Worker::cancelRpcTimer()
+{
+    if (rpc_.timer != 0) {
+        service_.machine().events().cancel(rpc_.timer);
+        rpc_.timer = 0;
+    }
+    rpc_.timerFired = false;
+}
+
+void
+Worker::armHedgeTimer(const os::StepCtx &ctx, sim::Time delay)
+{
+    cancelHedgeTimer();
+    rpc_.hedgeTimer = service_.machine().events().scheduleAfter(
+        ctx.kernel.sliceOffset(ctx) + delay, [this] {
+            rpc_.hedgeTimer = 0;
+            rpc_.hedgeFired = true;
+            service_.machine().scheduler().wake(this);
+        });
+}
+
+void
+Worker::cancelHedgeTimer()
+{
+    if (rpc_.hedgeTimer != 0) {
+        service_.machine().events().cancel(rpc_.hedgeTimer);
+        rpc_.hedgeTimer = 0;
+    }
+    rpc_.hedgeFired = false;
+}
+
+void
+Worker::sendCancelMsg(os::StepCtx &ctx, os::Socket *conn,
+                      std::uint64_t tag)
+{
+    os::Message cancel;
+    cancel.kind = os::MsgKind::Cancel;
+    cancel.bytes = os::kCancelMsgBytes;
+    cancel.tag = tag;
+    cancel.traceId = req_.msg.traceId;
+    cancel.sendTime = now(ctx);
+    probeSyscall(SysKind::SocketWrite, cancel.bytes);
+    service_.stats().txBytes += cancel.bytes;
+    ctx.kernel.sysSocketWrite(ctx, *this, *conn, std::move(cancel));
+}
+
+void
+Worker::settleOpenCalls(os::StepCtx *ctx, const char *cause)
+{
+    for (CallSlot &s : rpc_.slots) {
+        if (s.state == CallSlot::State::InFlight)
+            abandon(ctx, s);
+        if (s.state != CallSlot::State::Idle)
+            settle(s, trace::OutcomeKind::RpcCancelled, cause);
+    }
+}
+
 void
 Worker::detachFromBlockers()
 {
-    if (rpcState_.conn)
-        rpcState_.conn->removeWaiter(this);
-    if (rpcState_.hedgeConn)
-        rpcState_.hedgeConn->removeWaiter(this);
-    for (os::Socket *sock : rpcState_.fanoutConns) {
-        if (sock)
-            sock->removeWaiter(this);
+    for (const CallSlot &s : rpc_.slots) {
+        if (s.conn)
+            s.conn->removeWaiter(this);
+        if (s.hedgeConn)
+            s.hedgeConn->removeWaiter(this);
     }
     const Op *op = runner_.currentOp();
     if (op && op->kind == OpKind::Lock) {
@@ -1363,63 +1240,6 @@ Worker::detachFromBlockers()
         if (lock.queue)
             lock.queue->removeWaiter(this);
     }
-}
-
-void
-Worker::settleOpenCalls(os::StepCtx *ctx, const char *cause)
-{
-    RpcState &rs = rpcState_;
-    const ResilienceSpec &res = service_.spec().resilience;
-    const std::uint64_t traceId = req_.msg.traceId;
-    const bool chase = ctx != nullptr && res.cancellation;
-    if (rs.callOpen) {
-        if (rs.attemptOpen && rs.conn) {
-            rs.conn->removeWaiter(this);
-            service_.balancer(rs.callTarget).onDone(rs.replica);
-            if (chase && rs.waitTag != 0)
-                sendCancelMsg(*ctx, rs.conn, rs.waitTag, traceId);
-            if (rs.hedgeConn) {
-                rs.hedgeConn->removeWaiter(this);
-                service_.balancer(rs.callTarget)
-                    .onDone(rs.hedgeReplica);
-                if (chase && rs.hedgeTag != 0) {
-                    sendCancelMsg(*ctx, rs.hedgeConn, rs.hedgeTag,
-                                  traceId);
-                }
-            }
-        }
-        if (res.any()) {
-            service_.noteOutcome(*this,
-                                 trace::OutcomeKind::RpcCancelled,
-                                 rs.callTarget, rs.callEndpoint,
-                                 rs.attempt, traceId, cause);
-        }
-        rs.callOpen = false;
-        rs.attemptOpen = false;
-    }
-    std::uint64_t pending = rs.fanoutPending;
-    for (std::size_t i = 0;
-         pending != 0 && i < rs.fanoutConns.size(); ++i) {
-        if (!(pending & (std::uint64_t{1} << i)))
-            continue;
-        if (rs.fanoutConns[i]) {
-            rs.fanoutConns[i]->removeWaiter(this);
-            service_.balancer(rs.fanoutTargets[i])
-                .onDone(rs.fanoutReplicas[i]);
-            if (chase && rs.fanoutTags[i] != 0) {
-                sendCancelMsg(*ctx, rs.fanoutConns[i],
-                              rs.fanoutTags[i], traceId);
-            }
-        }
-        if (res.any()) {
-            service_.noteOutcome(*this,
-                                 trace::OutcomeKind::RpcCancelled,
-                                 rs.fanoutTargets[i],
-                                 rs.fanoutEndpoints[i], 1, traceId,
-                                 cause);
-        }
-    }
-    rs.fanoutPending = 0;
 }
 
 void
@@ -1441,7 +1261,7 @@ Worker::abortRequest()
     cancelHedgeTimer();
     releaseHeldLocks();
     cancelPending_ = false;
-    rpcState_.reset();
+    rpc_.reset();
     runner_.abort();
     req_.active = false;
     req_.sock = nullptr;
@@ -1468,7 +1288,7 @@ Worker::finishCancelledRequest(os::StepCtx &ctx)
     cancelRpcTimer();
     cancelHedgeTimer();
     releaseHeldLocks();
-    rpcState_.reset();
+    rpc_.reset();
     runner_.abort();
     // No response: the caller has already given up. The request
     // bytes were consumed, so they count toward rx traffic.

@@ -546,105 +546,12 @@ class Worker : public os::Thread
     void accountDiskRead(std::uint64_t bytes);
     void accountDiskWrite(std::uint64_t bytes);
 
-    struct CurrentRequest
-    {
-        os::Socket *sock = nullptr;
-        os::Message msg;
-        sim::Time start = 0;
-        std::uint64_t serverSpan = 0;
-        bool active = false;
-        /** A downstream call failed; respond with Error status. */
-        bool degraded = false;
-    };
-
-    CurrentRequest &currentRequest() { return req_; }
-
     /**
-     * Per-worker state of the in-flight Rpc op (one Rpc op runs at a
-     * time per worker, so a single slot suffices). Holds the attempt
-     * counter, the tag the worker is waiting for, and the armed
-     * deadline/backoff timer.
+     * Run (or resume) the Rpc op `op` for the current request. Every
+     * call of the op -- send, retry, hedge, reply, deadline -- lives
+     * and dies here. Returns Done once all calls settled.
      */
-    struct RpcState
-    {
-        unsigned attempt = 0;      //!< attempts made for current call
-        std::uint64_t waitTag = 0; //!< tag of the outstanding attempt
-        sim::EventId timer = 0;    //!< pending deadline/backoff event
-        bool timerFired = false;
-        bool inBackoff = false;
-        /** Connection the outstanding sync attempt was sent on. */
-        os::Socket *conn = nullptr;
-        /** Replica index the outstanding sync attempt targets. */
-        std::size_t replica = 0;
-        // ---- lifecycle bookkeeping (conservation + cancellation) ----
-        bool callOpen = false;       //!< logical sync call unsettled
-        bool attemptOpen = false;    //!< attempt onSend'd, not onDone'd
-        std::uint32_t callTarget = 0;
-        std::uint32_t callEndpoint = 0;
-        /** Absolute deadline forwarded to the callee; 0 none. */
-        sim::Time sendDeadline = 0;
-        // ---- hedging -------------------------------------------------
-        sim::EventId hedgeTimer = 0;
-        bool hedgeFired = false;
-        bool hedgeLaunched = false;  //!< sticky per call: one hedge max
-        std::uint64_t hedgeTag = 0;
-        os::Socket *hedgeConn = nullptr;
-        std::size_t hedgeReplica = 0;
-        /** Expected response tags of an async fanout, by call idx. */
-        std::vector<std::uint64_t> fanoutTags;
-        /** Chosen connection / replica of each async fanout call. */
-        std::vector<os::Socket *> fanoutConns;
-        std::vector<std::size_t> fanoutReplicas;
-        /** Mirror of frame.aux pending bitmask (for cancellation). */
-        std::uint64_t fanoutPending = 0;
-        std::vector<std::uint32_t> fanoutTargets;
-        std::vector<std::uint32_t> fanoutEndpoints;
-
-        /**
-         * Return to the default-constructed state while keeping the
-         * fanout vectors' capacity. One RpcState is recycled per RPC
-         * per worker, so reassigning a fresh `RpcState{}` here would
-         * free and reallocate five vectors on every call.
-         */
-        void
-        reset()
-        {
-            attempt = 0;
-            waitTag = 0;
-            timer = 0;
-            timerFired = false;
-            inBackoff = false;
-            conn = nullptr;
-            replica = 0;
-            callOpen = false;
-            attemptOpen = false;
-            callTarget = 0;
-            callEndpoint = 0;
-            sendDeadline = 0;
-            hedgeTimer = 0;
-            hedgeFired = false;
-            hedgeLaunched = false;
-            hedgeTag = 0;
-            hedgeConn = nullptr;
-            hedgeReplica = 0;
-            fanoutTags.clear();
-            fanoutConns.clear();
-            fanoutReplicas.clear();
-            fanoutPending = 0;
-            fanoutTargets.clear();
-            fanoutEndpoints.clear();
-        }
-    };
-
-    RpcState &rpcState() { return rpcState_; }
-
-    /** Arm the deadline/backoff timer `delay` from now. */
-    void armRpcTimer(const os::StepCtx &ctx, sim::Time delay);
-    void cancelRpcTimer();
-
-    /** Arm / cancel the hedge-launch timer. */
-    void armHedgeTimer(const os::StepCtx &ctx, sim::Time delay);
-    void cancelHedgeTimer();
+    ProgramRunner::Status runRpc(os::StepCtx &ctx, const Op &op);
 
     /** Abort the in-flight request (service crash). */
     void abortRequest();
@@ -657,10 +564,6 @@ class Worker : public os::Thread
      * slice (chasing in-flight downstream attempts with cancels).
      */
     void requestCancel(os::Socket &sock, std::uint64_t tag);
-
-    /** Send a MsgKind::Cancel chasing `tag` down `conn`. */
-    void sendCancelMsg(os::StepCtx &ctx, os::Socket *conn,
-                       std::uint64_t tag, std::uint64_t traceId);
 
     /** Messages queued on this worker's inbound connections. */
     std::size_t inboundQueueDepth() const;
@@ -676,6 +579,78 @@ class Worker : public os::Thread
     void noteLockReleased(std::uint32_t ref);
 
   private:
+    struct CurrentRequest
+    {
+        os::Socket *sock = nullptr;
+        os::Message msg;
+        sim::Time start = 0;
+        std::uint64_t serverSpan = 0;
+        bool active = false;
+        /** A downstream call failed; respond with Error status. */
+        bool degraded = false;
+    };
+
+    /**
+     * One downstream call of the running Rpc op, from start to
+     * settle: in flight, waiting out a retry backoff, or due for its
+     * next attempt; Idle before it starts and once it settled.
+     */
+    struct CallSlot
+    {
+        enum class State : std::uint8_t
+        {
+            Idle,
+            InFlight,
+            Backoff,
+            Retry,
+        };
+
+        const RpcCallSpec *call = nullptr;
+        State state = State::Idle;
+        unsigned attempt = 0;          //!< attempts sent so far
+        std::size_t replica = 0;
+        os::Socket *conn = nullptr;
+        std::uint64_t tag = 0;         //!< tag of the outstanding attempt
+        std::size_t hedgeReplica = 0;
+        os::Socket *hedgeConn = nullptr;  //!< null unless hedged
+        std::uint64_t hedgeTag = 0;
+        /** Absolute deadline forwarded to the callee; 0 none. */
+        sim::Time sendDeadline = 0;
+    };
+
+    /**
+     * The running Rpc op (one at a time per worker): one CallSlot per
+     * call, started in order through a window -- 1 call for the sync
+     * client, the whole fan-out for the async one. The window shares
+     * one deadline/backoff timer and one hedge timer. Retries and
+     * hedges apply to the sync window only; a fan-out makes one
+     * attempt per call under one deadline. reset() keeps the slot
+     * vector's capacity, so steady state starts calls without
+     * allocating.
+     */
+    struct RpcState
+    {
+        std::vector<CallSlot> slots;
+        std::size_t next = 0;   //!< calls started so far
+        std::size_t open = 0;   //!< started calls not yet settled
+        sim::EventId timer = 0; //!< pending deadline/backoff event
+        bool timerFired = false;
+        sim::EventId hedgeTimer = 0;
+        bool hedgeFired = false;
+
+        void
+        reset()
+        {
+            slots.clear();
+            next = 0;
+            open = 0;
+            timer = 0;
+            timerFired = false;
+            hedgeTimer = 0;
+            hedgeFired = false;
+        }
+    };
+
     ServiceInstance &service_;
     ThreadRole role_;
     const Program *background_;
@@ -687,7 +662,7 @@ class Worker : public os::Thread
     std::vector<std::vector<os::Socket *>> downConns_;
     os::Epoll *epoll_ = nullptr;
     CurrentRequest req_;
-    RpcState rpcState_;
+    RpcState rpc_;
     std::vector<std::uint32_t> heldLocks_;
     bool started_ = false;
     bool cancelPending_ = false;
@@ -703,12 +678,60 @@ class Worker : public os::Thread
     void shedRequest(os::StepCtx &ctx, os::Socket *sock,
                      os::Message msg, const char *cause = "");
     void finishCancelledRequest(os::StepCtx &ctx);
+
+    // ---- the Rpc op's call lifecycle (see runRpc) ------------------------
+    /** Async clients fan out; sync clients call one at a time. */
+    bool asyncClient() const;
     /**
-     * Settle every unsettled downstream call of the current request
-     * as RpcCancelled: release balancer slots and waiter entries and,
-     * when `ctx` is non-null and the spec opts into cancellation,
-     * chase the in-flight attempts with MsgKind::Cancel. `ctx` is
-     * null on the crash path (a crashed process sends nothing).
+     * End-to-end budget of the current request: its propagated
+     * deadline minus the hop margin; 0 when there is none.
+     */
+    sim::Time hopBudget() const;
+    /** Put one request for `call` on `conn`; returns its tag. */
+    std::uint64_t sendRequest(os::StepCtx &ctx, const RpcCallSpec &call,
+                              os::Socket *conn, sim::Time deadline);
+    /**
+     * Send the slot's next attempt, or settle the call without one
+     * when the budget is spent or the breaker is open. Returns whether
+     * the attempt went out.
+     */
+    bool startAttempt(os::StepCtx &ctx, CallSlot &s, bool budgetDead);
+    /** Second attempt of `s` on a different replica, if one is usable. */
+    void launchHedge(os::StepCtx &ctx, CallSlot &s);
+    /**
+     * Release the slot's outstanding attempts: waiter entries and
+     * balancer slots, and -- when `ctx` is non-null and the spec opts
+     * into cancellation -- a MsgKind::Cancel chasing each attempt
+     * other than `keepTag` (the one that answered).
+     */
+    void abandon(os::StepCtx *ctx, CallSlot &s, std::uint64_t keepTag = 0);
+    /**
+     * Close the call with outcome `kind` (noted when resilience is on).
+     * Failures degrade the response; the window timers stop once no
+     * call is open.
+     */
+    void settle(CallSlot &s, trace::OutcomeKind kind,
+                const char *cause = "");
+    /** Accept `resp`, the first reply to either of `s`'s attempts. */
+    void settleReply(os::StepCtx &ctx, CallSlot &s,
+                     const os::Message &resp);
+    /** Settle an in-flight slot whose deadline passed, or back it off. */
+    void expire(os::StepCtx &ctx, CallSlot &s);
+
+    /** Arm the deadline/backoff timer `delay` from now. */
+    void armRpcTimer(const os::StepCtx &ctx, sim::Time delay);
+    void cancelRpcTimer();
+    /** Arm / cancel the hedge-launch timer. */
+    void armHedgeTimer(const os::StepCtx &ctx, sim::Time delay);
+    void cancelHedgeTimer();
+    /** Send a MsgKind::Cancel chasing `tag` down `conn`. */
+    void sendCancelMsg(os::StepCtx &ctx, os::Socket *conn,
+                       std::uint64_t tag);
+
+    /**
+     * Settle every open call of the current request as RpcCancelled
+     * (see abandon); `ctx` is null on the crash path, where a crashed
+     * process sends nothing.
      */
     void settleOpenCalls(os::StepCtx *ctx, const char *cause);
     void detachFromBlockers();

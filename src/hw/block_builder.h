@@ -18,6 +18,7 @@
 #define DITTO_HW_BLOCK_BUILDER_H_
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -73,8 +74,11 @@ struct BlockSpec
     double storeFraction = 0.3;
     /** Fraction of instructions that are conditional branches. */
     double branchFraction = 0.12;
+    /** Default for branchKinds (a 50%- and a 12.5%-taken branch). */
+    static constexpr BranchDesc kDefaultBranchKinds[] = {{1, 2}, {3, 3}};
     /** Branch behaviours to draw sites from (uniformly). */
-    std::vector<BranchDesc> branchKinds = {{1, 2}, {3, 3}};
+    std::vector<BranchDesc> branchKinds{std::begin(kDefaultBranchKinds),
+                                        std::end(kDefaultBranchKinds)};
     /**
      * Dependency tightness in [0,1]: probability a source register
      * was written recently (short RAW distances limit ILP).

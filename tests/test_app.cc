@@ -204,6 +204,44 @@ TEST(ServiceRuntime, AsyncFanoutFasterThanSyncSequence)
     EXPECT_LT(async, sync);
 }
 
+TEST(ServiceRuntime, WideAsyncFanoutSettlesEveryCall)
+{
+    // Every call of a fan-out -- however wide -- is matched to its own
+    // reply and settled exactly once: no reply is mistaken for stale,
+    // no call is forgotten. The deadline is generous enough that no
+    // call times out, so any stale reply is a mismatched one.
+    for (const std::size_t n : {3u, 64u, 65u, 130u}) {
+        SCOPED_TRACE(n);
+        Harness h;
+        app::ServiceInstance &leaf = h.dep.deploy(
+            baseService("leaf", app::ServerModel::IoMultiplex),
+            h.machine);
+        ServiceSpec root = baseService("root",
+                                       app::ServerModel::IoMultiplex);
+        root.clientModel = app::ClientModel::Async;
+        root.downstreams = {"leaf"};
+        root.resilience.rpcDeadline = sim::milliseconds(5);
+        root.endpoints[0].handler.ops = {app::opRpcFanout(
+            std::vector<app::RpcCallSpec>(n, {0, 0, 64, 64}))};
+        app::ServiceInstance &fe = h.dep.deploy(root, h.machine);
+        h.dep.wireAll();
+        auto gen = h.drive(fe, 200, 2);
+        gen.start();
+        h.dep.runFor(sim::milliseconds(200));
+        gen.stop();
+        h.dep.runFor(sim::milliseconds(20));
+
+        const app::ServiceStats &s = fe.stats();
+        EXPECT_GT(s.requests, 20u);
+        EXPECT_EQ(s.rpcTimeouts, 0u);
+        EXPECT_EQ(s.rpcStaleResponses, 0u);
+        EXPECT_EQ(leaf.stats().requests, s.requests * n);
+        EXPECT_EQ(s.rpcCallsStarted, s.rpcOk + s.rpcTimeouts +
+                                         s.rpcBreakerFastFails +
+                                         s.rpcCancelled);
+    }
+}
+
 TEST(ServiceRuntime, LockSerializesCriticalSection)
 {
     Harness h;

@@ -23,6 +23,14 @@ struct NamedApp
     apps::AppLoad (*load)();
 };
 
+// Print the parameter by name: gtest's default dumps the raw struct
+// bytes, and the pointers in it move with ASLR, so the test names
+// that gtest_discover_tests registers would change on every build.
+void PrintTo(const NamedApp &app, std::ostream *os)
+{
+    *os << app.name;
+}
+
 const NamedApp kApps[] = {
     {"memcached", apps::memcachedSpec, apps::memcachedLoad},
     {"nginx", apps::nginxSpec, apps::nginxLoad},

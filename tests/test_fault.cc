@@ -890,6 +890,49 @@ TEST(RequestLifecycle, HedgeWinsAgainstSlowReplica)
     EXPECT_GT(back.stats().rxBytes, 0u);
 }
 
+TEST(RequestLifecycle, WideFanoutCancelledDuringLeafCrash)
+{
+    // A 130-call async fan-out whose leaf crashes mid-run. The client
+    // gives up before the frontend's fan-out deadline and chases its
+    // requests with cancels, so the frontend abandons every open call
+    // of a wide fan-out at once; each must still settle exactly once.
+    constexpr std::size_t kCalls = 130;
+    app::Deployment dep(17);
+    os::Machine &machine = dep.addMachine("n", hw::platformA());
+    dep.deploy(backendSpec(), machine);
+    app::ResilienceSpec res;
+    res.rpcDeadline = sim::milliseconds(8);
+    res.cancellation = true;
+    app::ServiceSpec fan = frontendSpec(res);
+    fan.clientModel = app::ClientModel::Async;
+    fan.endpoints[0].handler.ops = {app::opRpcFanout(
+        std::vector<app::RpcCallSpec>(kCalls, {0, 0, 128, 256}))};
+    app::ServiceInstance &front = dep.deploy(fan, machine);
+    dep.wireAll();
+
+    fault::FaultPlan plan;
+    plan.serviceCrash("back", sim::milliseconds(20),
+                      sim::milliseconds(20));
+    fault::FaultInjector injector(dep);
+    injector.install(plan);
+
+    workload::LoadSpec load =
+        TwoTier::clientLoad(300, sim::milliseconds(3));
+    load.cancelOnTimeout = true;
+    workload::LoadGen gen(dep, front, load, 23);
+    gen.start();
+    dep.runFor(sim::milliseconds(60));
+    gen.stop();
+    dep.runFor(sim::milliseconds(30));
+
+    const app::ServiceStats &fs = front.stats();
+    EXPECT_GT(gen.cancelsSent(), 0u);
+    EXPECT_GT(fs.requestsCancelled, 0u);
+    EXPECT_GE(fs.rpcCancelled, kCalls);
+    EXPECT_GT(fs.rpcOk, 0u);
+    expectRpcConservation(fs);
+}
+
 // ---------------------------------------------------------------------------
 // Retry timers vs machine crash/restart windows
 // ---------------------------------------------------------------------------

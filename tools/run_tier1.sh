@@ -30,14 +30,17 @@
 # Environment:
 #   BUILD_DIR  build directory (default: build)
 #   CMAKE_ARGS extra configure flags, e.g. "-DDITTO_TSAN=ON"
+#              (tier-1 always configures -DDITTO_WERROR=ON first)
 
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build=${BUILD_DIR:-"$repo/build"}
 
+# Warnings are errors in tier-1: the default build is warning-free,
+# so a new warning fails the run instead of scrolling past.
 # shellcheck disable=SC2086  # CMAKE_ARGS is intentionally word-split
-cmake -B "$build" -S "$repo" ${CMAKE_ARGS:-}
+cmake -B "$build" -S "$repo" -DDITTO_WERROR=ON ${CMAKE_ARGS:-}
 cmake --build "$build" -j
 
 # A bare `ctest -j` would swallow a following option as its value;
