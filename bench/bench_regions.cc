@@ -60,7 +60,7 @@ struct RegionRow
 std::string
 regionName(unsigned i)
 {
-    return "r" + std::to_string(i);
+    return std::string("r").append(std::to_string(i));
 }
 
 app::ServiceSpec

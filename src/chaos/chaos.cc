@@ -25,7 +25,7 @@ namespace {
 std::string
 machineName(unsigned i)
 {
-    return "m" + std::to_string(i);
+    return std::string("m").append(std::to_string(i));
 }
 
 std::string
@@ -39,7 +39,7 @@ serviceName(unsigned idx)
 std::string
 regionName(unsigned i)
 {
-    return "r" + std::to_string(i);
+    return std::string("r").append(std::to_string(i));
 }
 
 /** printf into a std::string (violation / reproducer lines). */

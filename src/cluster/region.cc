@@ -22,7 +22,7 @@ buildRegions(app::Deployment &dep,
     auto idx = static_cast<unsigned>(dep.machines().size());
     for (const RegionSpec &r : regions) {
         for (unsigned k = 0; k < std::max(1u, r.machines); ++k) {
-            dep.addMachine("m" + std::to_string(idx++),
+            dep.addMachine(std::string("m").append(std::to_string(idx++)),
                            hw::platformA(), r.name);
         }
     }

@@ -279,7 +279,8 @@ deployTopology(app::Deployment &dep, const GeneratedTopology &topo,
     Placer placer;
     for (unsigned m = 0; m < machineCount; ++m) {
         placer.addMachine(
-            dep.addMachine("m" + std::to_string(m), hw::platformA()),
+            dep.addMachine(std::string("m").append(std::to_string(m)),
+                           hw::platformA()),
             slots);
     }
     for (const app::ServiceSpec &s : topo.specs)

@@ -9,7 +9,7 @@ PlatformSpec
 platformA()
 {
     PlatformSpec p;
-    p.name = "A";
+    p.name = 'A';
     p.cpuModel = "Gold 6152";
     p.cpuFamily = "Skylake";
     p.baseFrequencyGhz = 2.10;
@@ -37,7 +37,7 @@ PlatformSpec
 platformB()
 {
     PlatformSpec p;
-    p.name = "B";
+    p.name = 'B';
     p.cpuModel = "E5-2660 v3";
     p.cpuFamily = "Haswell";
     p.baseFrequencyGhz = 2.60;
@@ -67,7 +67,7 @@ PlatformSpec
 platformC()
 {
     PlatformSpec p;
-    p.name = "C";
+    p.name = 'C';
     p.cpuModel = "E3-1240 v5";
     p.cpuFamily = "Skylake";
     p.baseFrequencyGhz = 3.50;

@@ -193,7 +193,7 @@ exportJaegerJson(const trace::Tracer &tracer)
             services.insert(outcomes[i].service);
         std::map<std::string, std::string> pid;
         for (const auto &svc : services)
-            pid[svc] = "p" + std::to_string(pid.size() + 1);
+            pid[svc] = std::string("p").append(std::to_string(pid.size() + 1));
 
         // Each outcome becomes a log on the first sampled server span
         // of its service; leftovers go on a synthetic carrier span.

@@ -8,36 +8,23 @@
  *
  * Hot-path design: callbacks live in a recycled slot pool indexed by
  * the low bits of the id. Cancellation just invalidates the slot in
- * O(1) -- the stale queue item is recognised (sequence mismatch or
+ * O(1) -- the stale heap item is recognised (sequence mismatch or
  * non-pending slot) and dropped when it surfaces. Slot reuse is
  * ABA-safe because the sequence number in the id's high bits is never
  * reused.
  *
- * Two interchangeable timer backends order the 16-byte POD items
- * {when, id}:
- *
- *  - Backend::Wheel (default): a hierarchical timing wheel, 4 levels
- *    of 256 slots at 1ns resolution (spans 256ns / 64us / 16.7ms /
- *    4.29s ahead of the cascade cursor), with a min-heap holding the
- *    far overflow (> 2^32 ns ahead). Schedule and cancel are O(1);
- *    dispatch walks per-level occupancy bitmaps and cascades one slot
- *    at a time, so cost per event is O(1) amortised and independent
- *    of the pending population.
- *  - Backend::Heap: the legacy std::priority_queue binary heap
- *    (O(log n) schedule/pop), kept for differential testing.
- *
- * Both backends execute live items in exactly (when, sequence) order,
- * so a simulation's output is bit-identical under either (asserted by
- * the differential tests in tests/test_sim.cc). The environment
- * variable DITTO_EVENT_QUEUE=heap flips default-constructed queues to
- * the legacy backend process-wide.
+ * Ordering is one std::priority_queue min-heap of 16-byte POD items
+ * {when, id}: O(log n) schedule and pop, live items executed in
+ * exactly (when, sequence) order. Event dispatch is well under 1% of
+ * simulation time, so a cleverer structure buys nothing end to end
+ * (DESIGN.md §13 has the measurements). tests/test_sim.cc checks the
+ * queue against a linear-scan reference over generated scripts.
  */
 
 #ifndef DITTO_SIM_EVENT_QUEUE_H_
 #define DITTO_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -64,23 +51,9 @@ class EventQueue
   public:
     using Callback = InlineCallback;
 
-    /** Timer-ordering backend (see file comment). */
-    enum class Backend : std::uint8_t
-    {
-        Wheel,  //!< hierarchical timing wheel (default)
-        Heap,   //!< legacy binary heap, for differential testing
-    };
-
-    /** Uses defaultBackend() (Wheel unless DITTO_EVENT_QUEUE=heap). */
-    EventQueue();
-    explicit EventQueue(Backend backend);
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /** Backend selected by the DITTO_EVENT_QUEUE env var (cached). */
-    static Backend defaultBackend();
-
-    Backend backend() const { return backend_; }
 
     /** Current simulated time. */
     Time now() const { return now_; }
@@ -129,7 +102,7 @@ class EventQueue
     static constexpr std::uint64_t kSlotMask =
         (std::uint64_t{1} << kSlotBits) - 1;
 
-    /** 16-byte POD ordering item shared by both backends. */
+    /** 16-byte POD ordering item. */
     struct QueueItem
     {
         Time when;
@@ -152,44 +125,9 @@ class EventQueue
         bool pending = false;
     };
 
-    // ---- hierarchical timing wheel ----------------------------------
-    //
-    // Level k slots are 2^(8k) ns wide; level k spans 2^(8(k+1)) ns.
-    // A live item sits at the deepest level whose current window
-    // (relative to cursor_) contains its timestamp, at slot index
-    // (when >> 8k) & 255 -- for level 0 that means one slot holds
-    // exactly one timestamp, so the FIFO tie-break reduces to a
-    // min-sequence scan of a single slot. Items further than 2^32 ns
-    // ahead of the cursor wait in the far_ min-heap and are pulled
-    // into the wheel when the cursor enters their 2^32 ns epoch.
-    // cursor_ <= every live timestamp; it advances only toward a live
-    // item that is about to execute (or to a cascade boundary at or
-    // below the caller's runUntil limit), which keeps insertion
-    // windows consistent with the clamp-to-now() rule for new events.
-    static constexpr unsigned kWheelLevels = 4;
-    static constexpr unsigned kWheelBits = 8;
-    static constexpr unsigned kWheelSlots = 1u << kWheelBits;  // 256
-    static constexpr std::uint64_t kWheelSlotMask = kWheelSlots - 1;
-
-    struct WheelState
-    {
-        /** wheel[level][index]: items awaiting cascade/dispatch. */
-        std::vector<QueueItem> slots[kWheelLevels][kWheelSlots];
-        /** 256-bit occupancy bitmap per level (4 x u64). */
-        std::uint64_t occupied[kWheelLevels][kWheelSlots / 64] = {};
-        /** Overflow: items >= 2^32 ns ahead of cursor. */
-        std::priority_queue<QueueItem, std::vector<QueueItem>,
-                            std::greater<>>
-            far;
-        /** Cascade position; <= every live timestamp. */
-        Time cursor = 0;
-    };
-
-    Backend backend_;
     std::priority_queue<QueueItem, std::vector<QueueItem>,
                         std::greater<>>
         heap_;
-    std::unique_ptr<WheelState> wheel_;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
     Time now_ = 0;
@@ -206,30 +144,8 @@ class EventQueue
     /** Move the callback out of `id`'s slot and retire the slot. */
     Callback takeCallback(EventId id);
 
-    // ---- wheel internals --------------------------------------------
-    void wheelInsert(Time when, EventId id);
-    void wheelSetBit(unsigned level, unsigned idx);
-    void wheelClearBit(unsigned level, unsigned idx);
-    /** Lowest occupied slot index of `level`, or kWheelSlots. */
-    unsigned wheelFirstOccupied(unsigned level) const;
-    /**
-     * Drop dead items from wheel_->slots[level][idx]; returns false
-     * (and clears the occupancy bit) when the slot came up empty.
-     */
-    bool wheelCompactSlot(unsigned level, unsigned idx);
-    /**
-     * Timestamp of the next live event, advancing the cascade cursor
-     * no further than `bound`; kTimeNever when none exists at or
-     * below `bound` (the cursor then stays put, so later insertions
-     * clamped to now() remain >= cursor).
-     */
-    Time wheelNextLiveTime(Time bound);
-    /** Pop the (when, min-seq) live item of the earliest L0 slot. */
-    QueueItem wheelPopFront();
-
-    // ---- heap internals ---------------------------------------------
     /** Drop dead heap tops; false when the heap drained. */
-    bool heapSkimDead();
+    bool skimDead();
 };
 
 } // namespace ditto::sim

@@ -122,7 +122,7 @@ TEST(CodeImage, PoolsDistinguishSizeAndSharing)
 TEST(BlockBuilder, HonorsInstructionCountAndFootprint)
 {
     BlockSpec spec;
-    spec.label = "t";
+    spec.label = 't';
     spec.instCount = 500;
     spec.seed = 1;
     const CodeBlock block = buildBlock(spec);
@@ -134,7 +134,7 @@ TEST(BlockBuilder, HonorsInstructionCountAndFootprint)
 TEST(BlockBuilder, DeterministicPerSeed)
 {
     BlockSpec spec;
-    spec.label = "t";
+    spec.label = 't';
     spec.instCount = 200;
     spec.memFraction = 0.3;
     spec.branchFraction = 0.1;
@@ -157,7 +157,7 @@ TEST(BlockBuilder, DeterministicPerSeed)
 TEST(BlockBuilder, FractionsApproximatelyHonored)
 {
     BlockSpec spec;
-    spec.label = "t";
+    spec.label = 't';
     spec.instCount = 2000;
     spec.memFraction = 0.30;
     spec.branchFraction = 0.10;
@@ -181,7 +181,7 @@ TEST(BlockBuilder, FractionsApproximatelyHonored)
 TEST(BlockBuilder, StreamWeightsDistributeMemoryOps)
 {
     BlockSpec spec;
-    spec.label = "t";
+    spec.label = 't';
     spec.instCount = 3000;
     spec.memFraction = 0.4;
     spec.streams = {
@@ -204,7 +204,7 @@ TEST(BlockBuilder, DepTightnessControlsChainLengths)
 {
     auto avg_raw_distance = [](double tightness) {
         BlockSpec spec;
-        spec.label = "t";
+        spec.label = 't';
         spec.instCount = 2000;
         spec.depTightness = tightness;
         spec.seed = 9;

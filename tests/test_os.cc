@@ -235,7 +235,7 @@ TEST(Scheduler, ParallelThreadsUseDistinctCores)
     std::vector<SpinThread *> threads;
     for (int i = 0; i < 4; ++i) {
         auto t = std::make_unique<SpinThread>(
-            "t" + std::to_string(i), 1e6, 3);
+            std::string("t").append(std::to_string(i)), 1e6, 3);
         threads.push_back(t.get());
         m.scheduler().add(std::move(t));
     }

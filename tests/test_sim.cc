@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -349,13 +350,115 @@ TEST(Time, UnitConversions)
     EXPECT_DOUBLE_EQ(toMicroseconds(microseconds(7)), 7.0);
 }
 
-// ---- wheel-vs-heap differential tests -------------------------------
+// ---- reference-model differential tests -----------------------------
 //
-// Both timer backends must execute the same workload in exactly the
-// same (when, sequence) order -- the bit-identical-output contract of
-// DESIGN.md §8. Each workload below is generated once from a seed and
-// replayed verbatim against a Wheel and a Heap queue; the per-event
-// execution logs (label, now) and executedCount() must match.
+// The queue must execute every workload in exactly (when, sequence)
+// order -- the bit-identical-output contract of DESIGN.md §8. Each
+// workload below is generated once from a seed and replayed verbatim
+// against the EventQueue and against ReferenceQueue, a linear-scan
+// model of the same contract; the per-event execution logs (label,
+// now, cancel outcomes), executedCount(), now() and size() must match.
+
+/**
+ * Obviously-correct reference: the earliest (when, seq) pending event
+ * runs first, scheduleAt clamps to now(), cancel succeeds only for a
+ * pending event, and runUntil advances now() to its limit.
+ */
+class ReferenceQueue
+{
+  public:
+    Time now() const { return now_; }
+    std::size_t size() const { return pending_.size(); }
+    std::uint64_t executedCount() const { return executed_; }
+
+    EventId
+    scheduleAt(Time when, std::function<void()> cb)
+    {
+        pending_.push_back({std::max(when, now_), nextSeq_, std::move(cb)});
+        return nextSeq_++;
+    }
+
+    EventId
+    scheduleAfter(Time delay, std::function<void()> cb)
+    {
+        return scheduleAt(now_ + delay, std::move(cb));
+    }
+
+    bool
+    cancel(EventId id)
+    {
+        for (std::size_t i = 0; i < pending_.size(); ++i) {
+            if (pending_[i].seq == id) {
+                pending_.erase(pending_.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+                return true;
+            }
+        }
+        return false;
+    }
+
+    bool
+    runOne()
+    {
+        if (pending_.empty())
+            return false;
+        const std::size_t i = earliest();
+        Pending ev = std::move(pending_[i]);
+        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+        now_ = ev.when;
+        ++executed_;
+        ev.cb();
+        return true;
+    }
+
+    std::uint64_t
+    runUntil(Time limit)
+    {
+        std::uint64_t count = 0;
+        while (!pending_.empty() && pending_[earliest()].when <= limit) {
+            runOne();
+            ++count;
+        }
+        now_ = std::max(now_, limit);
+        return count;
+    }
+
+    std::uint64_t
+    runAll()
+    {
+        std::uint64_t count = 0;
+        while (runOne())
+            ++count;
+        return count;
+    }
+
+  private:
+    struct Pending
+    {
+        Time when;
+        std::uint64_t seq;
+        std::function<void()> cb;
+    };
+
+    /** Index of the minimum (when, seq) pending event. */
+    std::size_t
+    earliest() const
+    {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < pending_.size(); ++i) {
+            const Pending &a = pending_[i];
+            const Pending &b = pending_[best];
+            if (a.when < b.when || (a.when == b.when && a.seq < b.seq))
+                best = i;
+        }
+        return best;
+    }
+
+    std::vector<Pending> pending_;
+    Time now_ = 0;
+    std::uint64_t nextSeq_ = 1;
+    std::uint64_t executed_ = 0;
+};
 
 /** One generated timer workload action. */
 struct DiffOp
@@ -372,16 +475,24 @@ struct DiffOp
     std::size_t target = 0;
 };
 
-/** Replay `ops` on one queue; returns the execution log. */
+/** Log labels for cancel() outcomes; event labels stay below 2^21. */
+constexpr std::size_t kCancelHit = ~std::size_t{0};
+constexpr std::size_t kCancelMiss = kCancelHit - 1;
+
+/**
+ * Replay `ops` on one queue; returns the execution log, with each
+ * cancel() outcome logged in line as kCancelHit / kCancelMiss.
+ */
+template <typename Queue>
 std::vector<std::pair<std::size_t, Time>>
-replayOps(EventQueue &q, const std::vector<DiffOp> &ops)
+replayOps(Queue &q, const std::vector<DiffOp> &ops)
 {
     std::vector<std::pair<std::size_t, Time>> log;
     std::vector<EventId> ids;
     std::size_t nextLabel = 0;
     // Self-scheduling callbacks: every 5th event re-arms a follow-up
     // (two at the *same* timestamp for the FIFO tie-break), so the
-    // backends also agree on events scheduled mid-drain.
+    // queues also agree on events scheduled mid-drain.
     std::function<void(std::size_t)> fire = [&](std::size_t label) {
         log.emplace_back(label, q.now());
         if (label % 5 == 0 && label < 1u << 20) {
@@ -399,8 +510,10 @@ replayOps(EventQueue &q, const std::vector<DiffOp> &ops)
             break;
         }
         case DiffOp::Cancel:
-            if (!ids.empty())
-                q.cancel(ids[op.target % ids.size()]);
+            if (!ids.empty()) {
+                const bool hit = q.cancel(ids[op.target % ids.size()]);
+                log.emplace_back(hit ? kCancelHit : kCancelMiss, q.now());
+            }
             break;
         case DiffOp::RunUntil:
             q.runUntil(op.when);
@@ -416,20 +529,18 @@ replayOps(EventQueue &q, const std::vector<DiffOp> &ops)
 }
 
 void
-expectBackendsAgree(const std::vector<DiffOp> &ops)
+expectMatchesReference(const std::vector<DiffOp> &ops)
 {
-    EventQueue wheel(EventQueue::Backend::Wheel);
-    EventQueue heap(EventQueue::Backend::Heap);
-    const auto wheelLog = replayOps(wheel, ops);
-    const auto heapLog = replayOps(heap, ops);
-    ASSERT_EQ(wheelLog.size(), heapLog.size());
-    for (std::size_t i = 0; i < wheelLog.size(); ++i) {
-        ASSERT_EQ(wheelLog[i], heapLog[i]) << "divergence at event "
-                                           << i;
-    }
-    EXPECT_EQ(wheel.executedCount(), heap.executedCount());
-    EXPECT_EQ(wheel.now(), heap.now());
-    EXPECT_EQ(wheel.size(), heap.size());
+    EventQueue q;
+    ReferenceQueue ref;
+    const auto log = replayOps(q, ops);
+    const auto refLog = replayOps(ref, ops);
+    ASSERT_EQ(log.size(), refLog.size());
+    for (std::size_t i = 0; i < log.size(); ++i)
+        ASSERT_EQ(log[i], refLog[i]) << "divergence at event " << i;
+    EXPECT_EQ(q.executedCount(), ref.executedCount());
+    EXPECT_EQ(q.now(), ref.now());
+    EXPECT_EQ(q.size(), ref.size());
 }
 
 TEST(EventQueueDifferential, DenseTimers)
@@ -438,7 +549,7 @@ TEST(EventQueueDifferential, DenseTimers)
     std::vector<DiffOp> ops;
     for (int i = 0; i < 4000; ++i)
         ops.push_back({DiffOp::Schedule, rng() % 50000, 0});
-    expectBackendsAgree(ops);
+    expectMatchesReference(ops);
 }
 
 TEST(EventQueueDifferential, EqualTimestampBursts)
@@ -450,7 +561,7 @@ TEST(EventQueueDifferential, EqualTimestampBursts)
         for (int i = 0; i < 16; ++i)
             ops.push_back({DiffOp::Schedule, when, 0});
     }
-    expectBackendsAgree(ops);
+    expectMatchesReference(ops);
 }
 
 TEST(EventQueueDifferential, CancelHeavyChurn)
@@ -466,13 +577,13 @@ TEST(EventQueueDifferential, CancelHeavyChurn)
         if (draw % 17 == 0)
             ops.push_back({DiffOp::RunSome, 0, 3});
     }
-    expectBackendsAgree(ops);
+    expectMatchesReference(ops);
 }
 
 TEST(EventQueueDifferential, FarFutureEpochCrossings)
 {
-    // Timestamps beyond 2^32 ns ahead overflow the wheel into the far
-    // heap; epoch pulls must preserve order across the boundary.
+    // Timestamps spread over five 2^32 ns epochs: order must hold
+    // across gaps of several simulated seconds.
     Rng rng(404);
     std::vector<DiffOp> ops;
     const Time epoch = Time{1} << 32;
@@ -482,13 +593,13 @@ TEST(EventQueueDifferential, FarFutureEpochCrossings)
     }
     for (int i = 0; i < 100; ++i)
         ops.push_back({DiffOp::Cancel, 0, rng()});
-    expectBackendsAgree(ops);
+    expectMatchesReference(ops);
 }
 
 TEST(EventQueueDifferential, CascadeBoundaries)
 {
-    // Exercise timestamps straddling wheel level boundaries (256,
-    // 65536, 2^24 ns) where cascade re-insertion happens.
+    // Timestamps straddling power-of-two boundaries (256, 65536,
+    // 2^24, 2^32 ns), a few ns either side of each multiple.
     std::vector<DiffOp> ops;
     for (const Time boundary :
          {Time{256}, Time{65536}, Time{1} << 24, Time{1} << 32}) {
@@ -501,13 +612,13 @@ TEST(EventQueueDifferential, CascadeBoundaries)
             }
         }
     }
-    expectBackendsAgree(ops);
+    expectMatchesReference(ops);
 }
 
 TEST(EventQueueDifferential, RunUntilPartitions)
 {
     // Drain the same workload in uneven runUntil() slices, including
-    // limits that land between events and inside cascade windows.
+    // limits that land between events.
     Rng rng(505);
     std::vector<DiffOp> ops;
     Time limit = 0;
@@ -518,7 +629,7 @@ TEST(EventQueueDifferential, RunUntilPartitions)
             ops.push_back({DiffOp::RunUntil, limit, 0});
         }
     }
-    expectBackendsAgree(ops);
+    expectMatchesReference(ops);
 }
 
 TEST(EventQueueDifferential, MixedStress)
@@ -540,7 +651,7 @@ TEST(EventQueueDifferential, MixedStress)
                 ops.push_back({DiffOp::RunSome, 0, rng() % 4});
                 break;
             default:
-                // Mix near, mid, and far (epoch-crossing) horizons.
+                // Mix near, mid, and far (> 2^32 ns) horizons.
                 ops.push_back(
                     {DiffOp::Schedule,
                      limit + (rng() % (Time{1} << (8 + 4 * (i % 7)))),
@@ -548,21 +659,8 @@ TEST(EventQueueDifferential, MixedStress)
                 break;
             }
         }
-        expectBackendsAgree(ops);
+        expectMatchesReference(ops);
     }
-}
-
-TEST(EventQueueBackends, EnvVarSelectsDefault)
-{
-    // The cached default is process-wide; just check the accessor
-    // reports whichever backend a default-constructed queue got and
-    // that an explicit choice overrides it.
-    EventQueue dflt;
-    EXPECT_EQ(dflt.backend(), EventQueue::defaultBackend());
-    EventQueue heap(EventQueue::Backend::Heap);
-    EXPECT_EQ(heap.backend(), EventQueue::Backend::Heap);
-    EventQueue wheel(EventQueue::Backend::Wheel);
-    EXPECT_EQ(wheel.backend(), EventQueue::Backend::Wheel);
 }
 
 } // namespace

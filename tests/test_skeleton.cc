@@ -141,7 +141,8 @@ TEST(SkeletonAnalyzer, InfersIoMultiplexPool)
 {
     std::vector<profile::ThreadObservation> threads;
     for (int i = 0; i < 4; ++i)
-        threads.push_back(worker_obs("w" + std::to_string(i), true, 500));
+        threads.push_back(
+            worker_obs(std::string("w").append(std::to_string(i)), true, 500));
     threads.push_back(background_obs("bg", 20));
 
     const SkeletonInference inf = analyzeSkeleton(

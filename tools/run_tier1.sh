@@ -38,7 +38,9 @@ repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build=${BUILD_DIR:-"$repo/build"}
 
 # Warnings are errors in tier-1: the default build is warning-free,
-# so a new warning fails the run instead of scrolling past.
+# and so is an -O3 one (BUILD_DIR=build-release
+# CMAKE_ARGS=-DCMAKE_BUILD_TYPE=Release), so a new warning fails the
+# run instead of scrolling past.
 # shellcheck disable=SC2086  # CMAKE_ARGS is intentionally word-split
 cmake -B "$build" -S "$repo" -DDITTO_WERROR=ON ${CMAKE_ARGS:-}
 cmake --build "$build" -j
